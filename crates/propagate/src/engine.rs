@@ -499,6 +499,18 @@ impl<'e> Session<'e> {
         &self.doc
     }
 
+    /// Closes the session and hands back its current document by move,
+    /// without cloning it. The spare capacity the document grew while
+    /// commits edited it is released ([`xvu_tree::Tree::shrink_to_fit`]).
+    /// Everything else the session holds (view, memos, scratch) is
+    /// dropped; take [`Session::id_gen`] first if a later session over
+    /// the document must keep the identifier floor.
+    pub fn into_document(self) -> DocTree {
+        let mut doc = self.doc;
+        doc.shrink_to_fit();
+        doc
+    }
+
     /// The current view `A(t)` — what a user of this session sees and
     /// edits.
     pub fn view(&self) -> &DocTree {
@@ -529,10 +541,10 @@ impl<'e> Session<'e> {
     /// identifiers just past the document's own maximum — forgetting
     /// identifiers that were minted for since-deleted nodes over the
     /// previous session's history. Serving layers that park a session's
-    /// document and later reopen it (e.g. an LRU pool evicting idle
-    /// sessions) call this with the evicted session's [`Session::id_gen`]
-    /// so the park/reopen round trip is invisible: the reopened session
-    /// mints exactly the identifiers the evicted one would have.
+    /// document ([`Session::into_document`]) and later reopen it call
+    /// this with the parked session's [`Session::id_gen`] so the
+    /// park/reopen round trip is invisible: the reopened session mints
+    /// exactly the identifiers the parked one would have.
     pub fn merge_id_gen(&mut self, gen: &NodeIdGen) {
         self.prepared.gen.merge(gen);
     }
@@ -890,6 +902,22 @@ mod tests {
         // an identity update against the new view propagates for free
         let prop2 = session.propagate(&nop_script(session.view())).unwrap();
         assert_eq!(prop2.cost, 0);
+    }
+
+    #[test]
+    fn into_document_reopens_to_the_same_session_state() {
+        let (engine, t0, s0) = paper_engine();
+        let mut session = engine.open(&t0).unwrap();
+        let prop = session.propagate(&s0).unwrap();
+        session.commit(&prop).unwrap();
+        let (view, gen) = (session.view().clone(), session.id_gen());
+        let doc = session.into_document();
+        assert_eq!(doc, output_tree(&prop.script).unwrap());
+        // park/reopen round trip: same view, same identifier floor
+        let mut reopened = engine.open(&doc).unwrap();
+        reopened.merge_id_gen(&gen);
+        assert_eq!(reopened.view(), &view);
+        assert_eq!(reopened.id_gen().peek(), gen.peek());
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub use pathgraph::GraphScratch;
 pub use scratch::PropScratch;
 pub use segments::Segmentation;
 pub use selection::{Classify, EdgeClass, Selector};
-pub use serve::{EvictOutcome, SessionLease, SessionPool};
+pub use serve::{SessionLease, SessionPool};
 pub use shared::{SharedCacheBackend, SharedCacheStats, SharedMemoCache};
 pub use typing::{typing_report, TypingReport};
 pub use verify::verify_propagation;

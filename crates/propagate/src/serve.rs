@@ -19,7 +19,11 @@
 //! * [`SessionPool`] — the repeated-update path. Sessions are checked out
 //!   per document key; while a lease is held no other worker can touch
 //!   that document's session, so [`Session::commit`] is isolated per
-//!   document while different documents commit concurrently.
+//!   document while different documents commit concurrently. The pool
+//!   is unbounded: every key it has seen keeps its session until the
+//!   pool drops. A server that must bound resident sessions keeps its
+//!   own per-document owner instead (`xvu_server`'s document store parks
+//!   idle sessions by move and reopens them on demand).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -177,13 +181,15 @@ enum Slot<'e> {
 /// advance that document, so propagate/commit sequences are isolated *per
 /// document* while distinct documents proceed fully in parallel.
 ///
+/// The pool is unbounded and never drops a session on its own: memory
+/// grows with the number of distinct keys checked out.
+///
 /// The pool itself is `Sync`: share it by reference across scoped threads
 /// (or wrap pool + engine in `Arc`s at the application level).
 pub struct SessionPool<'e, K: Eq + Hash + Clone = u64> {
     engine: &'e Engine,
     slots: Mutex<HashMap<K, Slot<'e>>>,
     returned: Condvar,
-    capacity: Option<usize>,
 }
 
 impl<'e, K: Eq + Hash + Clone> SessionPool<'e, K> {
@@ -193,24 +199,6 @@ impl<'e, K: Eq + Hash + Clone> SessionPool<'e, K> {
             engine,
             slots: Mutex::new(HashMap::new()),
             returned: Condvar::new(),
-            capacity: None,
-        }
-    }
-
-    /// An empty pool that tracks at most `capacity` documents (parked or
-    /// leased). Checking out a *new* key while full fails with
-    /// [`PropagateError::PoolAtCapacity`] instead of opening an unbounded
-    /// number of sessions — the substrate an LRU layer needs: evict a
-    /// parked session ([`SessionPool::evict`]) and retry.
-    ///
-    /// `capacity` must be ≥ 1.
-    pub fn with_capacity(engine: &'e Engine, capacity: usize) -> SessionPool<'e, K> {
-        assert!(capacity >= 1, "SessionPool capacity must be ≥ 1");
-        SessionPool {
-            engine,
-            slots: Mutex::new(HashMap::new()),
-            returned: Condvar::new(),
-            capacity: Some(capacity),
         }
     }
 
@@ -222,12 +210,6 @@ impl<'e, K: Eq + Hash + Clone> SessionPool<'e, K> {
     /// Number of documents currently tracked (parked or checked out).
     pub fn len(&self) -> usize {
         self.lock().len()
-    }
-
-    /// The configured document bound, or `None` for an unbounded pool
-    /// (see [`SessionPool::with_capacity`]).
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Whether the pool tracks no documents at all.
@@ -261,11 +243,6 @@ impl<'e, K: Eq + Hash + Clone> SessionPool<'e, K> {
                     return Ok(self.lease(key, session));
                 }
                 None => {
-                    if let Some(cap) = self.capacity {
-                        if slots.len() >= cap {
-                            return Err(PropagateError::PoolAtCapacity { capacity: cap });
-                        }
-                    }
                     // claim the key under the same lock that observed its
                     // absence, so no second worker can claim it too
                     slots.insert(key.clone(), Slot::CheckedOut);
@@ -292,11 +269,6 @@ impl<'e, K: Eq + Hash + Clone> SessionPool<'e, K> {
                     return Ok(Some(self.lease(key, session)));
                 }
                 None => {
-                    if let Some(cap) = self.capacity {
-                        if slots.len() >= cap {
-                            return Err(PropagateError::PoolAtCapacity { capacity: cap });
-                        }
-                    }
                     slots.insert(key.clone(), Slot::CheckedOut);
                 }
             }
@@ -331,34 +303,6 @@ impl<'e, K: Eq + Hash + Clone> SessionPool<'e, K> {
         }
     }
 
-    /// Removes the **parked** session for `key` and hands it to the
-    /// caller (inspect [`Session::commits`], write
-    /// [`Session::document`] back to long-term storage, or just drop it —
-    /// dropping releases every propagation-cache memo the session held).
-    ///
-    /// Eviction never races a lease: a key whose session is currently
-    /// checked out (or mid-open) reports [`EvictOutcome::Leased`] and the
-    /// pool is left untouched — the caller decides whether to retry after
-    /// the lease returns or pick another victim. An untracked key reports
-    /// [`EvictOutcome::Unknown`]. The capacity slot frees immediately, and
-    /// any checkout blocked on the key is woken to reopen it fresh.
-    pub fn evict(&self, key: &K) -> EvictOutcome<'e> {
-        let mut slots = self.lock();
-        match slots.get(key) {
-            Some(Slot::Ready(_)) => match slots.remove(key) {
-                Some(Slot::Ready(session)) => {
-                    // a checkout may be blocked waiting for this key; it
-                    // must re-observe the now-absent slot and open fresh
-                    self.returned.notify_all();
-                    EvictOutcome::Evicted(session)
-                }
-                _ => unreachable!("matched Ready above"),
-            },
-            Some(Slot::CheckedOut) => EvictOutcome::Leased,
-            None => EvictOutcome::Unknown,
-        }
-    }
-
     fn lock(&self) -> MutexGuard<'_, HashMap<K, Slot<'e>>> {
         self.slots
             .lock()
@@ -379,36 +323,6 @@ impl<K: Eq + Hash + Clone> std::fmt::Debug for SessionPool<'_, K> {
         f.debug_struct("SessionPool")
             .field("documents", &self.len())
             .finish_non_exhaustive()
-    }
-}
-
-/// The outcome of [`SessionPool::evict`]: either the parked session
-/// itself, or an explicit reason why nothing was evicted.
-#[derive(Debug)]
-pub enum EvictOutcome<'e> {
-    /// The session was removed from the pool and is now owned by the
-    /// caller (its committed document travels with it).
-    Evicted(Box<Session<'e>>),
-    /// The key's session is leased to a worker (or mid-open): eviction is
-    /// refused, never raced. Retry after the lease drops or defer to
-    /// another victim.
-    Leased,
-    /// The pool does not track this key.
-    Unknown,
-}
-
-impl<'e> EvictOutcome<'e> {
-    /// The evicted session, if one was removed.
-    pub fn session(self) -> Option<Box<Session<'e>>> {
-        match self {
-            EvictOutcome::Evicted(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Whether a session was actually removed.
-    pub fn is_evicted(&self) -> bool {
-        matches!(self, EvictOutcome::Evicted(_))
     }
 }
 
@@ -560,84 +474,6 @@ mod tests {
         assert!(pool.is_empty());
         // the key is free again for a valid document
         assert!(pool.checkout(9, &t0).is_ok());
-    }
-
-    #[test]
-    fn pool_evicts_only_parked_sessions() {
-        let (engine, t0, s0) = paper_engine();
-        let pool: SessionPool<'_, u64> = SessionPool::new(&engine);
-        let mut lease = pool.checkout(3, &t0).unwrap();
-        lease.apply(&s0).unwrap();
-        // leased: eviction is refused explicitly, never raced
-        assert!(matches!(pool.evict(&3), EvictOutcome::Leased));
-        assert_eq!(pool.len(), 1, "refused eviction leaves the pool intact");
-        drop(lease);
-        // parked: the evicted session comes back whole — commit count and
-        // committed document intact, ready for write-back
-        let session = pool.evict(&3).session().expect("parked: evicted");
-        assert_eq!(session.commits(), 1);
-        assert!(engine.dtd().is_valid(session.document()));
-        assert!(matches!(pool.evict(&3), EvictOutcome::Unknown)); // gone now
-        assert!(pool.is_empty());
-        // the key is immediately reusable (capacity slot freed)
-        assert!(pool.checkout(3, &t0).is_ok());
-    }
-
-    #[test]
-    fn pool_eviction_of_leased_key_defers_until_lease_returns() {
-        // The LRU pattern: a victim that turns out to be leased is skipped
-        // now and evicts cleanly once its lease drops — no lost commits.
-        let (engine, t0, s0) = paper_engine();
-        let pool: SessionPool<'_, u64> = SessionPool::new(&engine);
-        std::thread::scope(|scope| {
-            let worker = scope.spawn(|| {
-                let mut lease = pool.checkout(9, &t0).unwrap();
-                lease.apply(&s0).unwrap();
-            });
-            // concurrent eviction attempts can only ever observe Leased or
-            // Evicted-after-return; the session is never torn out mid-use
-            loop {
-                match pool.evict(&9) {
-                    EvictOutcome::Evicted(session) => {
-                        assert_eq!(session.commits(), 1, "lease work survived");
-                        break;
-                    }
-                    EvictOutcome::Leased | EvictOutcome::Unknown => {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            worker.join().unwrap();
-        });
-        assert!(pool.is_empty());
-    }
-
-    #[test]
-    fn pool_capacity_bounds_new_checkouts() {
-        let (engine, t0, _) = paper_engine();
-        let pool: SessionPool<'_, u64> = SessionPool::with_capacity(&engine, 2);
-        assert_eq!(pool.capacity(), Some(2));
-        let a = pool.checkout(1, &t0).unwrap();
-        drop(pool.checkout(2, &t0).unwrap());
-        assert_eq!(pool.len(), 2);
-        // a third document is refused — leased and parked slots both count
-        assert!(matches!(
-            pool.checkout(3, &t0),
-            Err(PropagateError::PoolAtCapacity { capacity: 2 })
-        ));
-        assert!(matches!(
-            pool.try_checkout(3, &t0),
-            Err(PropagateError::PoolAtCapacity { capacity: 2 })
-        ));
-        // existing keys keep working at capacity
-        drop(a);
-        drop(pool.checkout(1, &t0).unwrap());
-        // evicting frees a slot for the new key
-        assert!(pool.evict(&2).is_evicted());
-        assert!(pool.checkout(3, &t0).is_ok());
-        // an unbounded pool reports no capacity
-        let unbounded: SessionPool<'_, u64> = SessionPool::new(&engine);
-        assert_eq!(unbounded.capacity(), None);
     }
 
     #[test]

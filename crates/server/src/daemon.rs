@@ -2,9 +2,8 @@
 //! and graceful shutdown.
 //!
 //! A [`Server`] owns a corpus of documents (keyed by `u64` id, each
-//! belonging to one compiled [`Engine`] family), a bounded
-//! [`LruSessionPool`] of open sessions, and a fixed worker pool fed by a
-//! bounded work queue:
+//! belonging to one compiled [`Engine`] family) and a fixed worker pool
+//! fed by a bounded work queue:
 //!
 //! * **write verbs** (`load`/`open`/`propagate`/`commit`/`close`) are
 //!   admitted into the queue — or pushed back with a `retry` frame when
@@ -14,22 +13,41 @@
 //! * `hello`/`stats` are answered inline; `shutdown` drains every queued
 //!   and in-flight request, replies with the final stats snapshot, and
 //!   stops the accept loop;
-//! * `snapshot` (a write verb) flushes every resident session into the
-//!   store with eviction semantics and writes the committed corpus out
-//!   as a flat snapshot file (`xvu_tree::snapshot`); the inverse is
+//! * `snapshot` (a write verb) writes the committed corpus out as a flat
+//!   snapshot file (`xvu_tree::snapshot`); the inverse is
 //!   [`Server::preload_corpus`], the parse-free cold-start path.
 //!
 //! Request latencies (including queueing for writes), queue depth,
-//! admission rejects, pool evictions, and propagation-cache counters are
-//! all observable via the `stats` verb ([`crate::StatsSnapshot`]).
+//! admission rejects, evictions, and propagation-cache counters are all
+//! observable via the `stats` verb ([`crate::StatsSnapshot`]).
+//!
+//! ## One owner per document
+//!
+//! Each store entry is the only owner of its document. It sits behind
+//! its own mutex and is either *open* — a [`Session`] holding the
+//! document, its view and its memos — or *parked*, holding just the
+//! committed document and the identifier high-water mark. The entry
+//! also holds the document's pending propagation. A request locks the
+//! entry for its whole duration, which isolates requests per document
+//! while different documents proceed in parallel.
+//!
+//! At most [`ServerConfig::pool_capacity`] entries are open at once. A
+//! recency list orders them; opening one more parks the least recently
+//! used entry that no request holds. If every open entry is busy, the
+//! request waits up to [`ServerConfig::retry_after_ms`] for one to be
+//! released, then is pushed back with `retry`.
+//!
+//! Locks are taken in one order: an entry, then the recency list, then
+//! other entries only by `try_lock`. No thread blocks on an entry while
+//! holding the store map, the recency list or another entry.
 //!
 //! ## Determinism across eviction
 //!
-//! Evicting an idle session drops only its *session-private* state — the
-//! slot-keyed propagation-cache memos and intern-id map: the committed
-//! document **and** its fresh-identifier high-water mark are written back
-//! to the store and restored on the next checkout
-//! ([`xvu_propagate::Session::merge_id_gen`]), so replies are
+//! Parking moves the document and its fresh-identifier high-water mark
+//! out of the session ([`Session::into_document`],
+//! [`Session::id_gen`]) and drops only the *session-private* state: the
+//! slot-keyed propagation-cache memos and intern-id map. Reopening
+//! restores the floor ([`Session::merge_id_gen`]), so replies are
 //! byte-identical whether or not an eviction happened in between — the
 //! property the fleet differential driver ([`crate::run_fleet`]) checks
 //! end to end. Structure-keyed memos live in the engine-owned
@@ -37,27 +55,26 @@
 //! reopened session re-interns its document and warms straight from the
 //! shared tier instead of recomputing, and the `stats` verb reports that
 //! tier separately (`shared_cache` object) from the session-local
-//! counters (`cache` object). An explicit `close` resets the identifier floor instead:
-//! a closed document starts a fresh session history, exactly like a
-//! direct [`xvu_propagate::Engine::open`].
+//! counters (`cache` object). `load` and `close` reset the entry in
+//! place instead, identifier floor included: a closed document starts a
+//! fresh session history, exactly like a direct [`Engine::open`].
 
 use crate::metrics::{Metrics, StatsSnapshot};
-use crate::pool::{Evicted, LruSessionPool};
 use crate::protocol::{check_hello, Frame, Recv, Verb, PROTOCOL_VERSION};
 use crate::transport::{StreamTransport, Transport};
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{HashMap, VecDeque};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 use xvu_edit::{parse_script, script_to_term, Script};
 use xvu_propagate::{
-    count_optimal_propagations, CacheStats, Engine, PropagateError, Propagation, SessionLease,
-    SharedCacheStats,
+    count_optimal_propagations, CacheStats, Engine, Propagation, Session, SharedCacheStats,
 };
 use xvu_tree::{
-    parse_term_with_ids, to_term_with_ids, Alphabet, CorpusBuilder, DocTree, NodeIdGen,
-    SnapshotFile,
+    parse_term_with_ids, to_term_with_ids, Alphabet, CorpusBuilder, DocTree, NodeId, NodeIdGen,
+    SnapshotFile, Sym,
 };
 
 /// Daemon sizing and admission knobs.
@@ -68,9 +85,12 @@ pub struct ServerConfig {
     /// Bounded work-queue depth; writes beyond it are pushed back with
     /// `retry`.
     pub queue_capacity: usize,
-    /// [`LruSessionPool`] bound: resident sessions across all documents.
+    /// How many documents may hold an open session at once; the least
+    /// recently used idle one is parked to make room.
     pub pool_capacity: usize,
-    /// Backoff suggested to pushed-back clients, in milliseconds.
+    /// Backoff suggested to pushed-back clients, in milliseconds; also
+    /// how long a request waits for a busy open session to be released
+    /// before it is pushed back.
     pub retry_after_ms: u64,
 }
 
@@ -96,13 +116,63 @@ pub struct ServerReport {
     pub drained_clean: bool,
 }
 
-/// One stored document: its family, committed content, and — after an
-/// eviction — the identifier high-water mark to restore on reopen.
-struct StoredDoc {
+/// One stored document and everything the daemon knows about it. The
+/// entry is the document's only owner.
+struct Entry<'e> {
     family: usize,
-    doc: DocTree,
-    gen: Option<NodeIdGen>,
+    state: DocState<'e>,
+    /// The last `propagate` result, awaiting `commit` (boxed: most
+    /// entries have none, and a `Propagation` is large).
+    pending: Option<Box<Propagation>>,
 }
+
+/// Where an entry's document lives.
+enum DocState<'e> {
+    /// An open session owns the document.
+    Open(Box<Session<'e>>),
+    /// No session: the committed document and, after an eviction, the
+    /// identifier high-water mark to restore on reopen.
+    Parked {
+        doc: DocTree,
+        gen: Option<NodeIdGen>,
+    },
+}
+
+impl Entry<'_> {
+    /// Parks an open session by move, keeping its identifier floor, and
+    /// returns its final cache counters; `None` if already parked.
+    fn park(&mut self) -> Option<CacheStats> {
+        if !matches!(self.state, DocState::Open(_)) {
+            return None;
+        }
+        // a one-node stand-in lets the session move out of `state`; it is
+        // overwritten below, before the entry lock is released
+        let stand_in = DocState::Parked {
+            doc: DocTree::leaf_with_id(NodeId(0), Sym::from_index(0)),
+            gen: None,
+        };
+        let DocState::Open(session) = std::mem::replace(&mut self.state, stand_in) else {
+            unreachable!("checked open above");
+        };
+        let stats = session.cache_stats();
+        let gen = Some(session.id_gen());
+        self.state = DocState::Parked {
+            doc: session.into_document(),
+            gen,
+        };
+        Some(stats)
+    }
+
+    fn document(&self) -> &DocTree {
+        match &self.state {
+            DocState::Open(session) => session.document(),
+            DocState::Parked { doc, .. } => doc,
+        }
+    }
+}
+
+/// A store entry, shared between the store map and the recency list.
+type Shared<'e> = Arc<Mutex<Entry<'e>>>;
 
 /// One queued write request.
 struct Job {
@@ -124,17 +194,12 @@ struct WorkQueue {
 pub struct Server<'e> {
     engines: &'e [Engine],
     cfg: ServerConfig,
-    pool: LruSessionPool<'e>,
-    store: Mutex<HashMap<u64, StoredDoc>>,
-    /// Serializes the store↔pool critical sections (read-store →
-    /// checkout → write-back, and close/load's remove → store update).
-    /// Without it a concurrent eviction leaves a window — session gone
-    /// from the pool, write-back not yet in the store — in which a
-    /// checkout for the evicted document reopens a stale snapshot.
-    /// Lease *holders* never take this lock, so the blocking inner
-    /// checkout (same-document isolation) cannot deadlock through it.
-    coherence: Mutex<()>,
-    pending: Mutex<HashMap<u64, Propagation>>,
+    store: Mutex<HashMap<u64, Shared<'e>>>,
+    /// The open entries, least recently used first.
+    recency: Mutex<Vec<(u64, Shared<'e>)>>,
+    /// Notified each time a request releases its entry, for
+    /// [`Server::make_room`] waiting on an eviction victim.
+    released: Condvar,
     live_cache: Mutex<HashMap<u64, CacheStats>>,
     metrics: Metrics,
     queue: Mutex<WorkQueue>,
@@ -152,15 +217,16 @@ impl<'e> Server<'e> {
     /// A daemon serving documents of the given families.
     pub fn new(engines: &'e [Engine], cfg: ServerConfig) -> Server<'e> {
         assert!(!engines.is_empty(), "a server needs at least one family");
-        let workers = cfg.workers.max(1);
-        let pool = LruSessionPool::new(engines, cfg.pool_capacity.max(1));
         Server {
             engines,
-            cfg: ServerConfig { workers, ..cfg },
-            pool,
+            cfg: ServerConfig {
+                workers: cfg.workers.max(1),
+                pool_capacity: cfg.pool_capacity.max(1),
+                ..cfg
+            },
             store: Mutex::new(HashMap::new()),
-            coherence: Mutex::new(()),
-            pending: Mutex::new(HashMap::new()),
+            recency: Mutex::new(Vec::new()),
+            released: Condvar::new(),
             live_cache: Mutex::new(HashMap::new()),
             metrics: Metrics::new(),
             queue: Mutex::new(WorkQueue {
@@ -208,8 +274,9 @@ impl<'e> Server<'e> {
                 acc
             },
         );
+        let resident = relock(self.recency.lock()).len();
         self.metrics
-            .snapshot(live, shared, self.pool.resident(), self.pool.capacity())
+            .snapshot(live, shared, resident, self.cfg.pool_capacity)
     }
 
     /// Initiates shutdown from outside a connection (equivalent to the
@@ -474,23 +541,7 @@ impl<'e> Server<'e> {
         if let Err(e) = self.engines[family].dtd().validate(&tree) {
             return Frame::err(format!("document violates the family DTD: {e}"));
         }
-        // replacing a document discards any resident session and pending
-        // propagation for its id; atomic with concurrent checkouts so a
-        // racing lease never resurrects the replaced session's state
-        let _atomic = relock(self.coherence.lock());
-        if let Some(session) = self.pool.remove(doc_id) {
-            self.metrics.retire_cache_stats(&session.cache_stats());
-        }
-        relock(self.pending.lock()).remove(&doc_id);
-        relock(self.live_cache.lock()).remove(&doc_id);
-        relock(self.store.lock()).insert(
-            doc_id,
-            StoredDoc {
-                family,
-                doc: tree,
-                gen: None,
-            },
-        );
+        self.put(doc_id, family, tree);
         Frame::ok("")
     }
 
@@ -498,13 +549,9 @@ impl<'e> Server<'e> {
         let Ok(doc_id) = payload.trim().parse::<u64>() else {
             return Frame::err(format!("bad document id {payload:?}"));
         };
-        let (lease, family) = match self.lease_for(doc_id) {
-            Ok(x) => x,
-            Err(resp) => return resp,
-        };
-        let view = to_term_with_ids(lease.view(), self.engines[family].alphabet());
-        self.note_cache(doc_id, &lease);
-        Frame::ok(view)
+        self.with_session(doc_id, |session, _, engine| {
+            Frame::ok(to_term_with_ids(session.view(), engine.alphabet()))
+        })
     }
 
     fn handle_propagate(&self, payload: &str) -> Frame {
@@ -514,79 +561,54 @@ impl<'e> Server<'e> {
         let Ok(doc_id) = id.parse::<u64>() else {
             return Frame::err(format!("bad document id {id:?}"));
         };
-        let (lease, family) = match self.lease_for(doc_id) {
-            Ok(x) => x,
-            Err(resp) => return resp,
-        };
-        let alpha = self.engines[family].alphabet();
-        let update = match self.parse_update(alpha, term) {
-            Ok(u) => u,
-            Err(m) => return Frame::err(m),
-        };
-        let prop = match lease.propagate(&update) {
-            Ok(p) => p,
-            Err(e) => return Frame::err(e.to_string()),
-        };
-        let Some(count) = count_optimal_propagations(&prop.forest) else {
-            return Frame::err("optimal count overflows u128".to_owned());
-        };
-        let script = script_to_term(&prop.script, alpha);
-        let reply = format!("{}\n{}\n{}", prop.cost, count, script);
-        self.note_cache(doc_id, &lease);
-        relock(self.pending.lock()).insert(doc_id, prop);
-        Frame::ok(reply)
+        self.with_session(doc_id, |session, pending, engine| {
+            let alpha = engine.alphabet();
+            let update = match self.parse_update(alpha, term) {
+                Ok(u) => u,
+                Err(m) => return Frame::err(m),
+            };
+            let prop = match session.propagate(&update) {
+                Ok(p) => p,
+                Err(e) => return Frame::err(e.to_string()),
+            };
+            let Some(count) = count_optimal_propagations(&prop.forest) else {
+                return Frame::err("optimal count overflows u128".to_owned());
+            };
+            let script = script_to_term(&prop.script, alpha);
+            let reply = format!("{}\n{}\n{}", prop.cost, count, script);
+            *pending = Some(Box::new(prop));
+            Frame::ok(reply)
+        })
     }
 
     fn handle_commit(&self, payload: &str) -> Frame {
         let Ok(doc_id) = payload.trim().parse::<u64>() else {
             return Frame::err(format!("bad document id {payload:?}"));
         };
-        let Some(prop) = relock(self.pending.lock()).remove(&doc_id) else {
-            return Frame::err(format!("document {doc_id} has no pending propagation"));
-        };
-        let (mut lease, _) = match self.lease_for(doc_id) {
-            Ok(x) => x,
-            Err(resp) => {
-                // checkout pushback (e.g. a fully-leased pool) must not
-                // consume the propagation: the client will retry
-                relock(self.pending.lock()).insert(doc_id, prop);
-                return resp;
+        self.with_session(doc_id, |session, pending, _| {
+            let Some(prop) = pending.take() else {
+                return Frame::err(format!("document {doc_id} has no pending propagation"));
+            };
+            match session.commit(&prop) {
+                Ok(()) => Frame::ok(""),
+                Err(e) => {
+                    // leave the propagation pending so the client may retry
+                    *pending = Some(prop);
+                    Frame::err(e.to_string())
+                }
             }
-        };
-        match lease.commit(&prop) {
-            Ok(()) => {
-                self.note_cache(doc_id, &lease);
-                Frame::ok("")
-            }
-            Err(e) => {
-                // leave the propagation pending so the client may retry
-                relock(self.pending.lock()).insert(doc_id, prop);
-                Frame::err(e.to_string())
-            }
-        }
+        })
     }
 
     fn handle_close(&self, payload: &str) -> Frame {
         let Ok(doc_id) = payload.trim().parse::<u64>() else {
             return Frame::err(format!("bad document id {payload:?}"));
         };
-        // atomic with concurrent checkouts: the removed session's state
-        // must land in the store before any lease can reopen the document
-        let _atomic = relock(self.coherence.lock());
-        let removed = self.pool.remove(doc_id);
-        relock(self.pending.lock()).remove(&doc_id);
-        relock(self.live_cache.lock()).remove(&doc_id);
-        let mut store = relock(self.store.lock());
-        let Some(stored) = store.get_mut(&doc_id) else {
+        let Some(shared) = self.entry(doc_id) else {
             return Frame::err(format!("unknown document {doc_id}"));
         };
-        if let Some(session) = removed {
-            self.metrics.retire_cache_stats(&session.cache_stats());
-            stored.doc = session.document().clone();
-        }
-        // a closed document starts a fresh identifier history on reopen —
-        // same as a direct Engine::open on the committed document
-        stored.gen = None;
+        let mut entry = relock(shared.lock());
+        self.reset(doc_id, &mut entry, None);
         Frame::ok("")
     }
 
@@ -595,11 +617,9 @@ impl<'e> Server<'e> {
         if path.is_empty() {
             return Frame::err("snapshot expects a destination path");
         }
-        let bytes = self.snapshot_store_bytes();
-        let docs = {
-            let store = relock(self.store.lock());
-            store.len()
-        };
+        let corpus = self.encode_store();
+        let docs = corpus.len();
+        let bytes = corpus.finish();
         match std::fs::write(path, &bytes) {
             Ok(()) => Frame::ok(format!("docs={docs} bytes={}", bytes.len())),
             Err(e) => Frame::err(format!("cannot write snapshot {path:?}: {e}")),
@@ -616,25 +636,20 @@ impl<'e> Server<'e> {
         let Ok(doc_id) = id.parse::<u64>() else {
             return Frame::err(format!("bad document id {id:?}"));
         };
-        let (lease, family) = match self.lease_for(doc_id) {
-            Ok(x) => x,
-            Err(resp) => return resp,
-        };
-        let alpha = self.engines[family].alphabet();
-        let (update, candidate) = match (
-            self.parse_update(alpha, update),
-            self.parse_update(alpha, candidate),
-        ) {
-            (Ok(u), Ok(c)) => (u, c),
-            (Err(m), _) | (_, Err(m)) => return Frame::err(m),
-        };
-        match lease.verify(&update, &candidate) {
-            Ok(()) => {
-                self.note_cache(doc_id, &lease);
-                Frame::ok("")
+        self.with_session(doc_id, |session, _, engine| {
+            let alpha = engine.alphabet();
+            let (update, candidate) = match (
+                self.parse_update(alpha, update),
+                self.parse_update(alpha, candidate),
+            ) {
+                (Ok(u), Ok(c)) => (u, c),
+                (Err(m), _) | (_, Err(m)) => return Frame::err(m),
+            };
+            match session.verify(&update, &candidate) {
+                Ok(()) => Frame::ok(""),
+                Err(e) => Frame::err(e.to_string()),
             }
-            Err(e) => Frame::err(e.to_string()),
-        }
+        })
     }
 
     fn handle_count(&self, payload: &str) -> Frame {
@@ -644,71 +659,170 @@ impl<'e> Server<'e> {
         let Ok(doc_id) = id.parse::<u64>() else {
             return Frame::err(format!("bad document id {id:?}"));
         };
-        let (lease, family) = match self.lease_for(doc_id) {
-            Ok(x) => x,
-            Err(resp) => return resp,
-        };
-        let update = match self.parse_update(self.engines[family].alphabet(), term) {
-            Ok(u) => u,
-            Err(m) => return Frame::err(m),
-        };
-        match lease.count_optimal(&update) {
-            Ok(n) => {
-                self.note_cache(doc_id, &lease);
-                Frame::ok(n.to_string())
-            }
-            Err(e) => Frame::err(e.to_string()),
-        }
-    }
-
-    // ---- shared plumbing -------------------------------------------------
-
-    /// Checks out the document's session (opening or reopening as
-    /// needed), writing back any sessions the LRU pool evicted to make
-    /// room and restoring the identifier floor after a reopen.
-    fn lease_for(&self, doc_id: u64) -> Result<(SessionLease<'_, 'e, u64>, usize), Frame> {
-        // the store snapshot, the checkout it seeds, and the write-back
-        // of whatever that checkout evicted must be one atomic step: a
-        // concurrent eviction between the snapshot and the checkout
-        // would otherwise reopen this document from a stale store entry
-        let _atomic = relock(self.coherence.lock());
-        let (family, tree, saved_gen) = {
-            let store = relock(self.store.lock());
-            let Some(stored) = store.get(&doc_id) else {
-                return Err(Frame::err(format!("unknown document {doc_id}")));
+        self.with_session(doc_id, |session, _, engine| {
+            let update = match self.parse_update(engine.alphabet(), term) {
+                Ok(u) => u,
+                Err(m) => return Frame::err(m),
             };
-            (stored.family, stored.doc.clone(), stored.gen.clone())
+            match session.count_optimal(&update) {
+                Ok(n) => Frame::ok(n.to_string()),
+                Err(e) => Frame::err(e.to_string()),
+            }
+        })
+    }
+
+    // ---- the document store ----------------------------------------------
+
+    /// The store entry for `doc_id`, if loaded. Entries are never
+    /// removed, so the handle stays the document's owner.
+    fn entry(&self, doc_id: u64) -> Option<Shared<'e>> {
+        relock(self.store.lock()).get(&doc_id).cloned()
+    }
+
+    /// Runs `f` on `doc_id`'s session with the entry locked, opening the
+    /// session first if the entry is parked. `f` also gets the entry's
+    /// pending propagation and the family engine.
+    fn with_session(
+        &self,
+        doc_id: u64,
+        f: impl FnOnce(&mut Session<'e>, &mut Option<Box<Propagation>>, &'e Engine) -> Frame,
+    ) -> Frame {
+        let Some(shared) = self.entry(doc_id) else {
+            return Frame::err(format!("unknown document {doc_id}"));
         };
-        match self.pool.checkout(doc_id, family, &tree) {
-            Ok((mut lease, evicted)) => {
-                self.write_back(evicted);
-                if let Some(gen) = saved_gen {
-                    lease.merge_id_gen(&gen);
+        let mut entry = relock(shared.lock());
+        if let Err(resp) = self.open_entry(doc_id, &shared, &mut entry) {
+            return resp;
+        }
+        let Entry {
+            family,
+            state: DocState::Open(session),
+            pending,
+        } = &mut *entry
+        else {
+            unreachable!("open_entry leaves the entry open");
+        };
+        let resp = f(session, pending, &self.engines[*family]);
+        relock(self.live_cache.lock()).insert(doc_id, session.cache_stats());
+        drop(entry);
+        self.released.notify_all();
+        resp
+    }
+
+    /// Makes the locked `entry` open and most recently used, reopening a
+    /// parked document with its identifier floor restored.
+    fn open_entry(
+        &self,
+        doc_id: u64,
+        shared: &Shared<'e>,
+        entry: &mut Entry<'e>,
+    ) -> Result<(), Frame> {
+        let DocState::Parked { doc, gen } = &entry.state else {
+            let mut recency = relock(self.recency.lock());
+            if let Some(pos) = recency.iter().position(|(id, _)| *id == doc_id) {
+                let touched = recency.remove(pos);
+                recency.push(touched);
+            }
+            return Ok(());
+        };
+        self.make_room(doc_id, shared)?;
+        match self.engines[entry.family].open(doc) {
+            Ok(mut session) => {
+                if let Some(gen) = gen {
+                    session.merge_id_gen(gen);
                 }
-                Ok((lease, family))
+                entry.state = DocState::Open(Box::new(session));
+                Ok(())
             }
-            Err(PropagateError::PoolAtCapacity { .. }) => {
-                self.metrics.rejected_writes.fetch_add(1, Ordering::Relaxed);
-                Err(Frame::retry(self.cfg.retry_after_ms))
+            Err(e) => {
+                self.forget(doc_id);
+                Err(Frame::err(e.to_string()))
             }
-            Err(e) => Err(Frame::err(e.to_string())),
         }
     }
 
-    /// Persists evicted sessions: committed document plus identifier
-    /// high-water mark back into the store, cache counters into the
-    /// retired totals.
-    fn write_back(&self, evicted: Vec<Evicted<'e>>) {
-        for ev in evicted {
-            self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
-            self.metrics.retire_cache_stats(&ev.session.cache_stats());
-            relock(self.live_cache.lock()).remove(&ev.doc);
-            let mut store = relock(self.store.lock());
-            if let Some(stored) = store.get_mut(&ev.doc) {
-                stored.doc = ev.session.document().clone();
-                stored.gen = Some(ev.session.id_gen());
+    /// Reserves a recency slot for `doc_id`, parking the least recently
+    /// used idle entries while the open count is at capacity. Victims are
+    /// taken with `try_lock`, so a busy entry is skipped, never blocked
+    /// on. While every open entry is busy, waits up to `retry_after_ms`
+    /// for a request to release one (the wait gives up the recency lock
+    /// and holds only the caller's parked entry, which is never a victim),
+    /// then gives up with `retry`.
+    fn make_room(&self, doc_id: u64, shared: &Shared<'e>) -> Result<(), Frame> {
+        let deadline = Instant::now() + Duration::from_millis(self.cfg.retry_after_ms);
+        let mut recency = relock(self.recency.lock());
+        loop {
+            let mut i = 0;
+            while recency.len() >= self.cfg.pool_capacity && i < recency.len() {
+                let parked = match recency[i].1.try_lock() {
+                    Ok(mut victim) => victim.park(),
+                    Err(TryLockError::Poisoned(p)) => p.into_inner().park(),
+                    Err(TryLockError::WouldBlock) => {
+                        i += 1;
+                        continue;
+                    }
+                };
+                let (victim_id, _) = recency.remove(i);
+                if let Some(stats) = parked {
+                    self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.retire_cache_stats(&stats);
+                    relock(self.live_cache.lock()).remove(&victim_id);
+                }
             }
+            if recency.len() < self.cfg.pool_capacity {
+                recency.push((doc_id, Arc::clone(shared)));
+                return Ok(());
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                self.metrics.rejected_writes.fetch_add(1, Ordering::Relaxed);
+                return Err(Frame::retry(self.cfg.retry_after_ms));
+            }
+            recency = relock(self.released.wait_timeout(recency, left)).0;
         }
+    }
+
+    /// Drops `doc_id` from the recency list.
+    fn forget(&self, doc_id: u64) {
+        relock(self.recency.lock()).retain(|(id, _)| *id != doc_id);
+    }
+
+    /// Resets a locked entry in place, for `load` (`doc` replaces the
+    /// document) and `close` (`doc` is `None`): the session is dropped,
+    /// the pending propagation discarded and the identifier floor reset.
+    fn reset(&self, doc_id: u64, entry: &mut Entry<'e>, doc: Option<DocTree>) {
+        if let Some(stats) = entry.park() {
+            self.metrics.retire_cache_stats(&stats);
+            self.forget(doc_id);
+        }
+        relock(self.live_cache.lock()).remove(&doc_id);
+        entry.pending = None;
+        let DocState::Parked { doc: parked, gen } = &mut entry.state else {
+            unreachable!("parked above");
+        };
+        *gen = None;
+        if let Some(doc) = doc {
+            *parked = doc;
+        }
+    }
+
+    /// Stores `doc` under `doc_id` (`load` and preload): a new entry, or
+    /// the existing one reset in place once any request on it finishes.
+    fn put(&self, doc_id: u64, family: usize, doc: DocTree) {
+        let shared = match relock(self.store.lock()).entry(doc_id) {
+            MapEntry::Occupied(e) => Arc::clone(e.get()),
+            MapEntry::Vacant(e) => {
+                e.insert(Arc::new(Mutex::new(Entry {
+                    family,
+                    state: DocState::Parked { doc, gen: None },
+                    pending: None,
+                })));
+                return;
+            }
+        };
+        let mut entry = relock(shared.lock());
+        entry.family = family;
+        self.reset(doc_id, &mut entry, Some(doc));
     }
 
     /// Preloads the document store from a packed snapshot corpus — the
@@ -717,7 +831,6 @@ impl<'e> Server<'e> {
     /// (foreign labels are rejected, like the `load` verb) and DTD.
     /// Returns the number of documents loaded.
     pub fn preload_corpus(&self, corpus: &SnapshotFile) -> Result<usize, String> {
-        let _atomic = relock(self.coherence.lock());
         let mut loaded = 0usize;
         for (i, entry) in corpus.entries().iter().enumerate() {
             let family = entry.family as usize;
@@ -745,58 +858,37 @@ impl<'e> Server<'e> {
                     entry.doc_id
                 ));
             }
-            relock(self.store.lock()).insert(
-                entry.doc_id,
-                StoredDoc {
-                    family,
-                    doc: tree,
-                    gen: None,
-                },
-            );
+            self.put(entry.doc_id, family, tree);
             loaded += 1;
         }
         Ok(loaded)
     }
 
-    /// Serializes the committed store as a snapshot corpus image.
-    ///
-    /// Resident sessions are flushed first with eviction semantics —
-    /// committed document and identifier high-water mark written back,
-    /// session-private memos retired — so the corpus captures exactly
-    /// what a cold restart would serve, and reopening after the flush is
-    /// observationally invisible (same guarantee as LRU eviction).
-    /// Documents are emitted sorted by id, so equal stores produce
-    /// byte-identical corpora.
-    pub fn snapshot_store_bytes(&self) -> Vec<u8> {
-        let _atomic = relock(self.coherence.lock());
-        for doc_id in self.pool.resident_docs() {
-            if let Some(session) = self.pool.remove(doc_id) {
-                self.metrics.retire_cache_stats(&session.cache_stats());
-                relock(self.live_cache.lock()).remove(&doc_id);
-                let mut store = relock(self.store.lock());
-                if let Some(stored) = store.get_mut(&doc_id) {
-                    stored.doc = session.document().clone();
-                    stored.gen = Some(session.id_gen());
-                }
-            }
-        }
-        let store = relock(self.store.lock());
-        let mut ids: Vec<u64> = store.keys().copied().collect();
-        ids.sort_unstable();
-        let mut builder = CorpusBuilder::new();
-        for id in ids {
-            let stored = &store[&id];
-            let alpha = self.engines[stored.family].alphabet();
-            builder
-                .push(id, stored.family as u32, &stored.doc, alpha)
+    /// Encodes every stored document in place — from its open session or
+    /// its parked tree, evicting nothing — sorted by id, so equal stores
+    /// produce byte-identical corpora. Each entry is locked in turn, so
+    /// a document busy with a request is encoded once that request ends.
+    fn encode_store(&self) -> CorpusBuilder {
+        let mut entries: Vec<(u64, Shared<'e>)> = relock(self.store.lock())
+            .iter()
+            .map(|(&id, shared)| (id, Arc::clone(shared)))
+            .collect();
+        entries.sort_unstable_by_key(|&(id, _)| id);
+        let mut corpus = CorpusBuilder::new();
+        for (id, shared) in entries {
+            let entry = relock(shared.lock());
+            let alpha = self.engines[entry.family].alphabet();
+            corpus
+                .push(id, entry.family as u32, entry.document(), alpha)
                 .expect("stored documents always encode");
         }
-        builder.finish()
+        corpus
     }
 
-    /// Records the session's latest cache counters for live aggregation.
-    fn note_cache(&self, doc_id: u64, lease: &SessionLease<'_, 'e, u64>) {
-        relock(self.live_cache.lock()).insert(doc_id, lease.cache_stats());
+    /// Serializes the committed store as a snapshot corpus image: what a
+    /// cold restart would serve. Nothing is evicted.
+    pub fn snapshot_store_bytes(&self) -> Vec<u8> {
+        self.encode_store().finish()
     }
 
     /// Parses a script term over the family alphabet, rejecting labels
@@ -831,5 +923,294 @@ impl std::fmt::Debug for Server<'_> {
             .field("families", &self.engines.len())
             .field("config", &self.cfg)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xvu_dtd::parse_dtd;
+    use xvu_view::parse_annotation;
+
+    /// DTD `r -> (a.h?)*` with `h` hidden: view of `r(a, h)` is `r(a)`.
+    fn engines() -> [Engine; 1] {
+        let mut alpha = Alphabet::new();
+        let dtd = parse_dtd(&mut alpha, "r -> (a.h?)*").unwrap();
+        let ann = parse_annotation(&mut alpha, "hide r h").unwrap();
+        [Engine::builder()
+            .alphabet(alpha)
+            .dtd(dtd)
+            .annotation(ann)
+            .build()
+            .unwrap()]
+    }
+
+    fn server(engines: &[Engine], pool_capacity: usize) -> Server<'_> {
+        Server::new(
+            engines,
+            ServerConfig {
+                pool_capacity,
+                ..ServerConfig::default()
+            },
+        )
+    }
+
+    /// Runs one write verb inline (no worker pool) and expects `ok`.
+    fn ok(server: &Server<'_>, verb: Verb, payload: &str) -> String {
+        let reply = server.handle_write(verb, payload);
+        assert_eq!(reply.verb, Verb::Ok, "{verb:?} {payload:?}: {reply:?}");
+        reply.payload
+    }
+
+    fn load(server: &Server<'_>, doc_id: u64, term: &str) {
+        ok(server, Verb::Load, &format!("{doc_id}\n0\n{term}"));
+    }
+
+    fn open(server: &Server<'_>, doc_id: u64) -> String {
+        ok(server, Verb::Open, &doc_id.to_string())
+    }
+
+    /// Documents with an open session, least recently used first.
+    fn open_docs(server: &Server<'_>) -> Vec<u64> {
+        relock(server.recency.lock())
+            .iter()
+            .map(|(id, _)| *id)
+            .collect()
+    }
+
+    /// The identifier floor the entry would mint from next.
+    fn floor(server: &Server<'_>, doc_id: u64) -> Option<NodeId> {
+        let shared = server.entry(doc_id).unwrap();
+        let entry = relock(shared.lock());
+        match &entry.state {
+            DocState::Open(session) => Some(session.id_gen().peek()),
+            DocState::Parked { gen, .. } => gen.as_ref().map(NodeIdGen::peek),
+        }
+    }
+
+    /// Holds `doc_id`'s entry on another thread for `hold` while `during`
+    /// runs on this thread, then releases it the way a finished request
+    /// does. 300 ms is far past the 10,000-`yield_now` budget after which
+    /// an earlier design stopped waiting for a busy session.
+    fn while_busy<R>(
+        server: &Server<'_>,
+        doc_id: u64,
+        hold: Duration,
+        during: impl FnOnce() -> R,
+    ) -> R {
+        let shared = server.entry(doc_id).unwrap();
+        let (busy, now_busy) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let held = relock(shared.lock());
+                busy.send(()).unwrap();
+                std::thread::sleep(hold);
+                drop(held);
+                server.released.notify_all();
+            });
+            now_busy.recv().unwrap();
+            during()
+        })
+    }
+
+    /// Inserts `a#{id}` at the end of a view whose children are `a#1`
+    /// plus `extra`, then deletes it again: the document ends where it
+    /// started but the session has minted past `id`.
+    fn insert_then_delete(server: &Server<'_>, doc_id: u64, id: u64) {
+        ok(
+            server,
+            Verb::Propagate,
+            &format!("{doc_id}\nnop:r#0(nop:a#1, ins:a#{id})"),
+        );
+        ok(server, Verb::Commit, &doc_id.to_string());
+        ok(
+            server,
+            Verb::Propagate,
+            &format!("{doc_id}\nnop:r#0(nop:a#1, del:a#{id})"),
+        );
+        ok(server, Verb::Commit, &doc_id.to_string());
+    }
+
+    #[test]
+    fn least_recently_used_entry_is_evicted_first() {
+        let engines = engines();
+        let server = server(&engines, 2);
+        for doc in 1..=4 {
+            load(&server, doc, "r#0(a#1, h#2)");
+        }
+        open(&server, 1);
+        open(&server, 2);
+        open(&server, 3);
+        assert_eq!(open_docs(&server), [2, 3], "doc 1 was least recent");
+        // touching doc 2 protects it: opening doc 4 now evicts doc 3
+        open(&server, 2);
+        open(&server, 4);
+        assert_eq!(open_docs(&server), [2, 4]);
+        assert_eq!(server.stats_snapshot().evictions, 2);
+    }
+
+    #[test]
+    fn an_entry_in_use_is_never_evicted() {
+        let engines = engines();
+        let server = server(&engines, 2);
+        for doc in 1..=3 {
+            load(&server, doc, "r#0(a#1, h#2)");
+        }
+        open(&server, 1);
+        open(&server, 2);
+        let busy = server.entry(1).unwrap();
+        let held = relock(busy.lock());
+        // doc 1 is least recent but busy: doc 2 is evicted instead
+        open(&server, 3);
+        drop(held);
+        assert_eq!(open_docs(&server), [1, 3]);
+        assert!(matches!(relock(busy.lock()).state, DocState::Open(_)));
+    }
+
+    #[test]
+    fn all_busy_entries_push_a_new_document_back() {
+        let engines = engines();
+        let server = server(&engines, 2);
+        for doc in 1..=3 {
+            load(&server, doc, "r#0(a#1, h#2)");
+        }
+        open(&server, 1);
+        open(&server, 2);
+        let (one, two) = (server.entry(1).unwrap(), server.entry(2).unwrap());
+        let held = (relock(one.lock()), relock(two.lock()));
+        let reply = server.handle_write(Verb::Open, "3");
+        assert_eq!(reply.verb, Verb::Retry, "{reply:?}");
+        let stats = server.stats_snapshot();
+        assert_eq!((stats.pool_resident, stats.pool_capacity), (2, 2));
+        assert_eq!(stats.rejected_writes, 1);
+        drop(held);
+        // with the entries idle again the same request succeeds by eviction
+        assert_eq!(open(&server, 3), "r#0(a#1)");
+        assert_eq!(open_docs(&server), [2, 3]);
+    }
+
+    #[test]
+    fn a_new_document_waits_for_a_busy_entry_to_be_released() {
+        let engines = engines();
+        let server = Server::new(
+            &engines,
+            ServerConfig {
+                pool_capacity: 1,
+                retry_after_ms: 10_000,
+                ..ServerConfig::default()
+            },
+        );
+        load(&server, 1, "r#0(a#1, h#2)");
+        load(&server, 2, "r#0(a#1)");
+        open(&server, 1);
+        // a request on doc 1 is in flight; it ends (and signals) while
+        // the open of doc 2 waits for room
+        let reply = while_busy(&server, 1, Duration::from_millis(50), || {
+            server.handle_write(Verb::Open, "2")
+        });
+        assert_eq!(reply.verb, Verb::Ok, "{reply:?}");
+        assert_eq!(open_docs(&server), [2]);
+        assert_eq!(server.stats_snapshot().rejected_writes, 0);
+    }
+
+    #[test]
+    fn close_resets_the_identifier_floor() {
+        let engines = engines();
+        let server = server(&engines, 4);
+        load(&server, 1, "r#0(a#1, h#2)");
+        open(&server, 1);
+        insert_then_delete(&server, 1, 50);
+        assert!(floor(&server, 1).unwrap() > NodeId(50));
+        ok(&server, Verb::CloseDoc, "1");
+        assert!(open_docs(&server).is_empty());
+        assert_eq!(floor(&server, 1), None);
+        // reopening starts a fresh history, like a direct Engine::open
+        open(&server, 1);
+        let fresh = engines[0]
+            .open(
+                &parse_term_with_ids(
+                    &mut engines[0].alphabet().clone(),
+                    &mut NodeIdGen::new(),
+                    "r#0(a#1, h#2)",
+                )
+                .unwrap(),
+            )
+            .unwrap()
+            .id_gen()
+            .peek();
+        assert_eq!(floor(&server, 1), Some(fresh));
+    }
+
+    #[test]
+    fn evict_and_reopen_preserve_the_identifier_floor() {
+        let engines = engines();
+        let server = server(&engines, 1);
+        load(&server, 1, "r#0(a#1, h#2)");
+        load(&server, 2, "r#0(a#1)");
+        open(&server, 1);
+        insert_then_delete(&server, 1, 50);
+        let before = floor(&server, 1).unwrap();
+        assert!(before > NodeId(50));
+        open(&server, 2); // evicts doc 1
+        assert_eq!(open_docs(&server), [2]);
+        assert_eq!(floor(&server, 1), Some(before), "parked with its floor");
+        open(&server, 1); // evicts doc 2, reopens doc 1
+        assert_eq!(floor(&server, 1), Some(before));
+        assert_eq!(server.stats_snapshot().evictions, 2);
+    }
+
+    #[test]
+    fn load_while_busy_is_what_the_next_open_serves() {
+        let engines = engines();
+        let server = server(&engines, 4);
+        load(&server, 1, "r#0(a#1, h#2)");
+        assert_eq!(open(&server, 1), "r#0(a#1)");
+        while_busy(&server, 1, Duration::from_millis(300), || {
+            load(&server, 1, "r#0(a#1, a#3)");
+        });
+        assert_eq!(open(&server, 1), "r#0(a#1, a#3)");
+    }
+
+    #[test]
+    fn snapshot_while_busy_contains_the_commit() {
+        let engines = engines();
+        let server = server(&engines, 4);
+        load(&server, 1, "r#0(a#1, h#2)");
+        load(&server, 2, "r#0(a#1)");
+        open(&server, 1);
+        ok(&server, Verb::Propagate, "1\nnop:r#0(nop:a#1, ins:a#50)");
+        ok(&server, Verb::Commit, "1");
+        let path =
+            std::env::temp_dir().join(format!("xvu-daemon-snapshot-{}.xvus", std::process::id()));
+        let reply = while_busy(&server, 1, Duration::from_millis(300), || {
+            ok(&server, Verb::Snapshot, path.to_str().unwrap())
+        });
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(reply, format!("docs=2 bytes={}", bytes.len()));
+        let corpus = SnapshotFile::from_bytes(bytes).unwrap();
+        assert_eq!(corpus.entries().len(), 2);
+        let mut alpha = engines[0].alphabet().clone();
+        let doc = corpus.decode(0, &mut alpha).unwrap();
+        let term = to_term_with_ids(&doc, &alpha);
+        assert!(term.contains("a#50"), "committed insert missing: {term}");
+        // encoding is in place: nothing was evicted
+        assert_eq!(open_docs(&server), [1]);
+    }
+
+    #[test]
+    fn load_discards_the_pending_propagation() {
+        let engines = engines();
+        let server = server(&engines, 4);
+        load(&server, 1, "r#0(a#1, h#2)");
+        ok(&server, Verb::Propagate, "1\nnop:r#0(nop:a#1, ins:a#50)");
+        load(&server, 1, "r#0(a#1)");
+        let reply = server.handle_write(Verb::Commit, "1");
+        assert_eq!(reply.verb, Verb::Err);
+        assert!(
+            reply.payload.contains("no pending propagation"),
+            "{reply:?}"
+        );
+        assert_eq!(open(&server, 1), "r#0(a#1)");
     }
 }

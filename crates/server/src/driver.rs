@@ -4,7 +4,7 @@
 //! sessions.
 //!
 //! This is the end-to-end determinism oracle for the serving stack: the
-//! daemon (framing, queueing, admission, LRU eviction, write-back,
+//! daemon (framing, queueing, admission, eviction by parking,
 //! identifier-floor restoration) must be observationally identical to a
 //! long-lived in-process session per document. Any divergence surfaces
 //! as a [`FleetReport::mismatches`] entry naming the op.

@@ -10,12 +10,10 @@
 //!   errors;
 //! * [`transport`] — TCP sockets and stdio pipes behind one
 //!   [`Transport`] trait;
-//! * [`pool`] — a bounded LRU layer over [`xvu_propagate::SessionPool`]
-//!   that evicts parked sessions (leased ones are exempt) and hands them
-//!   back for write-back, preserving document content and identifier
-//!   floors across eviction;
-//! * [`daemon`] — the [`Server`]: document store, fixed worker pool fed
-//!   by a bounded queue with admission control (`retry` pushback), a
+//! * [`daemon`] — the [`Server`]: a document store in which each entry
+//!   is its document's only owner (an open session or a parked tree,
+//!   with a bounded number open at once), a fixed worker pool fed by a
+//!   bounded queue with admission control (`retry` pushback), a
 //!   read-only fast path for `verify`/`count`, and graceful
 //!   drain-on-shutdown;
 //! * [`metrics`] — latency histograms (p50/p90/p99), queue depth,
@@ -44,7 +42,6 @@ pub mod client;
 pub mod daemon;
 pub mod driver;
 pub mod metrics;
-pub mod pool;
 pub mod protocol;
 pub mod transport;
 
@@ -52,7 +49,6 @@ pub use client::{Client, ClientError, PropagateReply};
 pub use daemon::{Server, ServerConfig, ServerReport};
 pub use driver::{run_fleet, run_fleet_from_corpus, run_fleet_with, CorpusMode, FleetReport};
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, StatsSnapshot};
-pub use pool::{Evicted, LruSessionPool};
 pub use protocol::{
     read_frame, write_frame, Frame, ProtocolError, Recv, Verb, MAX_FRAME, PROTOCOL_VERSION,
 };

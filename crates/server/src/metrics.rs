@@ -119,7 +119,7 @@ pub struct Metrics {
     pub queue_depth: AtomicU64,
     /// High-water mark of the queue depth.
     pub queue_max: AtomicU64,
-    /// Sessions evicted by the LRU pool.
+    /// Open sessions parked to make room for another document.
     pub evictions: AtomicU64,
     /// Propagation-cache hits/misses/invalidated, accumulated from
     /// retired (evicted or closed) sessions.
@@ -168,10 +168,10 @@ impl Metrics {
     }
 
     /// Freezes everything into a [`StatsSnapshot`]. `live_cache` is the
-    /// aggregate over still-resident sessions (the pool knows them);
-    /// `shared` the engine-level shared-memo-cache counters (aggregated
-    /// over the server's families — engine-owned, so they survive session
-    /// eviction); `resident`/`capacity` describe the pool.
+    /// aggregate over still-open sessions; `shared` the engine-level
+    /// shared-memo-cache counters (aggregated over the server's families
+    /// — engine-owned, so they survive session eviction);
+    /// `resident`/`capacity` count open sessions and their bound.
     pub fn snapshot(
         &self,
         live_cache: xvu_propagate::CacheStats,
@@ -221,11 +221,11 @@ pub struct StatsSnapshot {
     pub queue_depth: u64,
     /// Queue depth high-water mark.
     pub queue_max: u64,
-    /// LRU pool evictions.
+    /// Open sessions parked to make room for another document.
     pub evictions: u64,
-    /// Sessions currently resident in the pool.
+    /// Documents with an open session right now.
     pub pool_resident: usize,
-    /// The pool's configured bound.
+    /// The bound on open sessions (`ServerConfig::pool_capacity`).
     pub pool_capacity: usize,
     /// Propagation-cache hits (retired + live sessions).
     pub cache_hits: u64,

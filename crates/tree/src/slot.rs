@@ -92,6 +92,12 @@ impl SlotIndex {
         self.len == 0
     }
 
+    /// Releases spare table capacity (see [`crate::Tree::shrink_to_fit`]).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.dense.shrink_to_fit();
+        self.sparse.shrink_to_fit();
+    }
+
     /// How far the dense table may grow for the current entry count:
     /// generously past the populated range, but never unboundedly beyond
     /// it, so one adversarial huge identifier cannot balloon memory.

@@ -220,6 +220,18 @@ impl<L> Tree<L> {
         self.journal.clear();
     }
 
+    /// Releases the spare capacity the arena and its side tables grew
+    /// while the tree was edited in place. Nodes, identifiers and slots
+    /// are unchanged. Worth calling on a tree that will sit unedited for
+    /// a while: a slab that doubled to fit one insertion keeps that
+    /// slack until shrunk, where a clone would not.
+    pub fn shrink_to_fit(&mut self) {
+        self.slab.shrink_to_fit();
+        self.versions.shrink_to_fit();
+        self.journal.shrink_to_fit();
+        self.index.shrink_to_fit();
+    }
+
     /// Whether the dirty journal is recording.
     #[inline]
     pub fn is_change_tracking(&self) -> bool {
@@ -678,56 +690,6 @@ impl<L> Tree<L> {
     }
 }
 
-/// Serde support, wire-compatible with the historical representation
-/// (`{ nodes: map<NodeId, Node>, root: NodeId }`): the arena layout is an
-/// implementation detail and never leaks into serialized form, so
-/// round-trips are identity and old payloads keep deserializing.
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::*;
-    use std::collections::BTreeMap;
-
-    /// A `BTreeMap` keeps the node map sorted by [`NodeId`], so equal
-    /// trees serialize to identical bytes regardless of arena order or
-    /// hash seeding (the historical `HashMap` here made the wire bytes
-    /// vary run-to-run). The map shape on the wire is unchanged.
-    #[derive(serde::Serialize, serde::Deserialize)]
-    struct TreeWire<V> {
-        nodes: BTreeMap<NodeId, V>,
-        root: NodeId,
-    }
-
-    impl<L: serde::Serialize> serde::Serialize for Tree<L> {
-        fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            TreeWire {
-                nodes: self.slab.iter().map(|n| (n.id, n)).collect(),
-                root: self.root,
-            }
-            .serialize(serializer)
-        }
-    }
-
-    impl<'de, L: serde::Deserialize<'de>> serde::Deserialize<'de> for Tree<L> {
-        fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-            let wire: TreeWire<Node<L>> = TreeWire::deserialize(deserializer)?;
-            let mut tree = Tree::empty_with_root(wire.root);
-            tree.slab.reserve(wire.nodes.len());
-            for (id, node) in wire.nodes {
-                if id != node.id {
-                    return Err(serde::de::Error::custom(format!(
-                        "node map key {id} disagrees with node id {}",
-                        node.id
-                    )));
-                }
-                tree.push_node(node);
-            }
-            tree.validate()
-                .map_err(|e| serde::de::Error::custom(e.to_string()))?;
-            Ok(tree)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -949,6 +911,29 @@ mod tests {
         let (t, ..) = chain3();
         let u = t.clone();
         assert_eq!(t, u);
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_nodes_slots_and_clock() {
+        let mut gen = NodeIdGen::new();
+        let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
+        let r = t.root();
+        let kids: Vec<_> = (0..40).map(|_| t.add_child(r, &mut gen, sym(1))).collect();
+        for &k in &kids[..30] {
+            t.detach_subtree(k).unwrap();
+        }
+        let before = t.clone();
+        let slots: Vec<_> = kids[30..].iter().map(|&k| t.slot(k)).collect();
+        let (epoch, version) = (t.epoch(), t.version(r));
+        t.shrink_to_fit();
+        t.validate().unwrap();
+        assert_eq!(t, before);
+        assert_eq!(
+            kids[30..].iter().map(|&k| t.slot(k)).collect::<Vec<_>>(),
+            slots
+        );
+        assert_eq!((t.epoch(), t.version(r)), (epoch, version));
+        assert_eq!(t.slab.capacity(), t.size());
     }
 
     #[test]

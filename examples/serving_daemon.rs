@@ -29,8 +29,9 @@ fn main() {
         .build()
         .expect("engine")];
 
-    // a deliberately tiny pool: switching documents forces LRU eviction,
-    // which the store's write-back makes observationally invisible
+    // at most one open session: switching documents parks the idle one
+    // (its document moves out of the session into the store entry), and
+    // reopening restores its identifier floor, so eviction is invisible
     let server = Server::new(
         &engines,
         ServerConfig {
@@ -72,8 +73,8 @@ fn main() {
             .expect("the daemon's own script verifies");
         client.commit(1).expect("commit");
 
-        // a second document evicts the first (pool capacity 1) — yet
-        // document 1 reopens with its committed state intact
+        // opening a second document parks the first (pool capacity 1),
+        // yet document 1 reopens with its committed state intact
         client
             .load(2, 0, "r#0(a#1, b#2, d#3(a#7, c#8))")
             .expect("load");

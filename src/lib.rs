@@ -175,8 +175,8 @@ pub mod prelude {
         count_optimal_propagations, cross_view_effect, cross_view_touched,
         enumerate_optimal_propagations, find_complement_preserving, invisible_impact, propagate,
         propagate_view_edit, revalidate_output, typing_report, verify_propagation, CacheStats,
-        Config, CostModel, Engine, EngineBuilder, EvictOutcome, GraphScratch, Instance,
-        InversionForest, InvisibleImpact, PhaseBreakdown, PropScratch, PropagateError, Propagation,
+        Config, CostModel, Engine, EngineBuilder, GraphScratch, Instance, InversionForest,
+        InvisibleImpact, PhaseBreakdown, PropScratch, PropagateError, Propagation,
         PropagationForest, Selector, Session, SessionLease, SessionPool, SharedCacheBackend,
         SharedCacheStats, SharedMemoCache, TypingReport,
     };
