@@ -195,8 +195,8 @@ impl<T: Transport> Client<T> {
         self.request(Verb::Commit, doc.to_string()).map(|_| ())
     }
 
-    /// Closes the document's session (write-back, fresh id history on
-    /// reopen).
+    /// Closes the document's session, keeping its committed document;
+    /// the next open starts a fresh identifier history.
     pub fn close_doc(&mut self, doc: u64) -> Result<(), ClientError> {
         self.request(Verb::CloseDoc, doc.to_string()).map(|_| ())
     }

@@ -34,8 +34,9 @@
 //! At most [`ServerConfig::pool_capacity`] entries are open at once. A
 //! recency list orders them; opening one more parks the least recently
 //! used entry that no request holds. If every open entry is busy, the
-//! request waits up to [`ServerConfig::retry_after_ms`] for one to be
-//! released, then is pushed back with `retry`.
+//! request waits up to [`ServerConfig::retry_after_ms`]; the next request
+//! to finish on an open entry parks that entry and hands the slot over.
+//! If none finishes in time the request is pushed back with `retry`.
 //!
 //! Locks are taken in one order: an entry, then the recency list, then
 //! other entries only by `try_lock`. No thread blocks on an entry while
@@ -89,8 +90,8 @@ pub struct ServerConfig {
     /// recently used idle one is parked to make room.
     pub pool_capacity: usize,
     /// Backoff suggested to pushed-back clients, in milliseconds; also
-    /// how long a request waits for a busy open session to be released
-    /// before it is pushed back.
+    /// how long a request waits for an open session's slot, while every
+    /// open session is busy, before it is pushed back.
     pub retry_after_ms: u64,
 }
 
@@ -174,6 +175,15 @@ impl Entry<'_> {
 /// A store entry, shared between the store map and the recency list.
 type Shared<'e> = Arc<Mutex<Entry<'e>>>;
 
+/// The open entries and the requests waiting for one to close.
+#[derive(Default)]
+struct Recency<'e> {
+    /// Open entries, least recently used first.
+    open: Vec<(u64, Shared<'e>)>,
+    /// Requests blocked in [`Server::make_room`] right now.
+    waiting: usize,
+}
+
 /// One queued write request.
 struct Job {
     frame: Frame,
@@ -195,10 +205,8 @@ pub struct Server<'e> {
     engines: &'e [Engine],
     cfg: ServerConfig,
     store: Mutex<HashMap<u64, Shared<'e>>>,
-    /// The open entries, least recently used first.
-    recency: Mutex<Vec<(u64, Shared<'e>)>>,
-    /// Notified each time a request releases its entry, for
-    /// [`Server::make_room`] waiting on an eviction victim.
+    recency: Mutex<Recency<'e>>,
+    /// Notified when a finished request hands its slot to a waiter.
     released: Condvar,
     live_cache: Mutex<HashMap<u64, CacheStats>>,
     metrics: Metrics,
@@ -225,7 +233,7 @@ impl<'e> Server<'e> {
                 ..cfg
             },
             store: Mutex::new(HashMap::new()),
-            recency: Mutex::new(Vec::new()),
+            recency: Mutex::new(Recency::default()),
             released: Condvar::new(),
             live_cache: Mutex::new(HashMap::new()),
             metrics: Metrics::new(),
@@ -274,7 +282,7 @@ impl<'e> Server<'e> {
                 acc
             },
         );
-        let resident = relock(self.recency.lock()).len();
+        let resident = relock(self.recency.lock()).open.len();
         self.metrics
             .snapshot(live, shared, resident, self.cfg.pool_capacity)
     }
@@ -704,9 +712,31 @@ impl<'e> Server<'e> {
         };
         let resp = f(session, pending, &self.engines[*family]);
         relock(self.live_cache.lock()).insert(doc_id, session.cache_stats());
-        drop(entry);
-        self.released.notify_all();
+        self.hand_over(doc_id, &mut entry);
         resp
+    }
+
+    /// Parks the just-used `entry` when a request is waiting for room: it
+    /// is the entry that request would evict the moment it went idle, and
+    /// parking it here means the waiter never races this document's next
+    /// request for it.
+    fn hand_over(&self, doc_id: u64, entry: &mut Entry<'e>) {
+        let mut recency = relock(self.recency.lock());
+        if recency.waiting == 0 || recency.open.len() < self.cfg.pool_capacity {
+            return;
+        }
+        if let Some(stats) = entry.park() {
+            self.count_eviction(doc_id, &stats);
+        }
+        recency.open.retain(|(id, _)| *id != doc_id);
+        drop(recency);
+        self.released.notify_all();
+    }
+
+    fn count_eviction(&self, doc_id: u64, stats: &CacheStats) {
+        self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
+        self.metrics.retire_cache_stats(stats);
+        relock(self.live_cache.lock()).remove(&doc_id);
     }
 
     /// Makes the locked `entry` open and most recently used, reopening a
@@ -718,10 +748,10 @@ impl<'e> Server<'e> {
         entry: &mut Entry<'e>,
     ) -> Result<(), Frame> {
         let DocState::Parked { doc, gen } = &entry.state else {
-            let mut recency = relock(self.recency.lock());
-            if let Some(pos) = recency.iter().position(|(id, _)| *id == doc_id) {
-                let touched = recency.remove(pos);
-                recency.push(touched);
+            let open = &mut relock(self.recency.lock()).open;
+            if let Some(pos) = open.iter().position(|(id, _)| *id == doc_id) {
+                let touched = open.remove(pos);
+                open.push(touched);
             }
             return Ok(());
         };
@@ -745,16 +775,17 @@ impl<'e> Server<'e> {
     /// used idle entries while the open count is at capacity. Victims are
     /// taken with `try_lock`, so a busy entry is skipped, never blocked
     /// on. While every open entry is busy, waits up to `retry_after_ms`
-    /// for a request to release one (the wait gives up the recency lock
-    /// and holds only the caller's parked entry, which is never a victim),
-    /// then gives up with `retry`.
+    /// for [`Server::hand_over`] to free a slot (the wait gives up the
+    /// recency lock and holds only the caller's parked entry, which is
+    /// never a victim), then gives up with `retry`.
     fn make_room(&self, doc_id: u64, shared: &Shared<'e>) -> Result<(), Frame> {
         let deadline = Instant::now() + Duration::from_millis(self.cfg.retry_after_ms);
         let mut recency = relock(self.recency.lock());
         loop {
+            let open = &mut recency.open;
             let mut i = 0;
-            while recency.len() >= self.cfg.pool_capacity && i < recency.len() {
-                let parked = match recency[i].1.try_lock() {
+            while open.len() >= self.cfg.pool_capacity && i < open.len() {
+                let parked = match open[i].1.try_lock() {
                     Ok(mut victim) => victim.park(),
                     Err(TryLockError::Poisoned(p)) => p.into_inner().park(),
                     Err(TryLockError::WouldBlock) => {
@@ -762,15 +793,13 @@ impl<'e> Server<'e> {
                         continue;
                     }
                 };
-                let (victim_id, _) = recency.remove(i);
+                let (victim_id, _) = open.remove(i);
                 if let Some(stats) = parked {
-                    self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.retire_cache_stats(&stats);
-                    relock(self.live_cache.lock()).remove(&victim_id);
+                    self.count_eviction(victim_id, &stats);
                 }
             }
-            if recency.len() < self.cfg.pool_capacity {
-                recency.push((doc_id, Arc::clone(shared)));
+            if open.len() < self.cfg.pool_capacity {
+                open.push((doc_id, Arc::clone(shared)));
                 return Ok(());
             }
             let left = deadline.saturating_duration_since(Instant::now());
@@ -778,13 +807,17 @@ impl<'e> Server<'e> {
                 self.metrics.rejected_writes.fetch_add(1, Ordering::Relaxed);
                 return Err(Frame::retry(self.cfg.retry_after_ms));
             }
+            recency.waiting += 1;
             recency = relock(self.released.wait_timeout(recency, left)).0;
+            recency.waiting -= 1;
         }
     }
 
     /// Drops `doc_id` from the recency list.
     fn forget(&self, doc_id: u64) {
-        relock(self.recency.lock()).retain(|(id, _)| *id != doc_id);
+        relock(self.recency.lock())
+            .open
+            .retain(|(id, _)| *id != doc_id);
     }
 
     /// Resets a locked entry in place, for `load` (`doc` replaces the
@@ -973,6 +1006,7 @@ mod tests {
     /// Documents with an open session, least recently used first.
     fn open_docs(server: &Server<'_>) -> Vec<u64> {
         relock(server.recency.lock())
+            .open
             .iter()
             .map(|(id, _)| *id)
             .collect()
@@ -1002,20 +1036,19 @@ mod tests {
         let (busy, now_busy) = mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let held = relock(shared.lock());
+                let mut held = relock(shared.lock());
                 busy.send(()).unwrap();
                 std::thread::sleep(hold);
-                drop(held);
-                server.released.notify_all();
+                server.hand_over(doc_id, &mut held);
             });
             now_busy.recv().unwrap();
             during()
         })
     }
 
-    /// Inserts `a#{id}` at the end of a view whose children are `a#1`
-    /// plus `extra`, then deletes it again: the document ends where it
-    /// started but the session has minted past `id`.
+    /// Inserts `a#{id}` after `a#1` in the view `r#0(a#1)`, then deletes
+    /// it again: the document ends where it started but the session has
+    /// minted past `id`.
     fn insert_then_delete(server: &Server<'_>, doc_id: u64, id: u64) {
         ok(
             server,
@@ -1090,7 +1123,7 @@ mod tests {
     }
 
     #[test]
-    fn a_new_document_waits_for_a_busy_entry_to_be_released() {
+    fn a_new_document_waits_for_a_busy_entry_to_be_handed_over() {
         let engines = engines();
         let server = Server::new(
             &engines,
@@ -1103,8 +1136,8 @@ mod tests {
         load(&server, 1, "r#0(a#1, h#2)");
         load(&server, 2, "r#0(a#1)");
         open(&server, 1);
-        // a request on doc 1 is in flight; it ends (and signals) while
-        // the open of doc 2 waits for room
+        // a request on doc 1 is in flight; when it ends it hands its slot
+        // to the open of doc 2 waiting for room
         let reply = while_busy(&server, 1, Duration::from_millis(50), || {
             server.handle_write(Verb::Open, "2")
         });

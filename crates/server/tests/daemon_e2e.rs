@@ -201,12 +201,12 @@ fn shared_memo_cache_survives_eviction_and_spans_documents() {
 
 #[test]
 fn concurrent_eviction_write_back_never_resurrects_stale_state() {
-    // Regression test for the store↔pool coherence race: with a pool of
-    // one, every checkout evicts the *other* client's document, so the
-    // window between "session removed from the pool" and "write-back
-    // lands in the store" is exercised on nearly every request. A stale
-    // reopen shows up as `In(S) differs from the view` on the very next
-    // propagate, or as a lost committed insert in the final view.
+    // Two clients, one document each, a pool of one: every switch parks
+    // the *other* client's document and reopens this one, so eviction
+    // and reopen race the other client's requests on nearly every
+    // request. A stale reopen shows up as `In(S) differs from the view`
+    // on the very next propagate, or as a lost committed insert in the
+    // final view. Both clients start together, so their requests overlap.
     let engines = [engine()];
     let server = Server::new(
         &engines,
@@ -220,6 +220,7 @@ fn concurrent_eviction_write_back_never_resurrects_stale_state() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     const ROUNDS: usize = 12;
+    let start = std::sync::Barrier::new(2);
     std::thread::scope(|scope| {
         let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
         {
@@ -229,8 +230,10 @@ fn concurrent_eviction_write_back_never_resurrects_stale_state() {
         }
         let worker = |doc: u64| {
             let addr = addr.clone();
+            let start = &start;
             move || {
                 let mut c = Client::connect(&addr).unwrap();
+                start.wait();
                 for round in 0..ROUNDS {
                     // read the live view and grow it by one fresh `a`
                     let view = c.open(doc).unwrap();

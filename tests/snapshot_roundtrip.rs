@@ -102,7 +102,7 @@ proptest! {
     }
 
     /// A document committed through session propagation cycles still
-    /// snapshots and decodes exactly — the serving write-back path.
+    /// snapshots and decodes exactly — the daemon's `snapshot` path.
     #[test]
     fn snapshot_survives_session_commit_cycles(seed in 0u64..500) {
         let mut alpha = Alphabet::new();
