@@ -34,9 +34,7 @@
 //! At most [`ServerConfig::pool_capacity`] entries are open at once. A
 //! recency list orders them; opening one more parks the least recently
 //! used entry that no request holds. If every open entry is busy, the
-//! request waits up to [`ServerConfig::retry_after_ms`]; the next request
-//! to finish on an open entry parks that entry and hands the slot over.
-//! If none finishes in time the request is pushed back with `retry`.
+//! request is pushed back with `retry` at once.
 //!
 //! Locks are taken in one order: an entry, then the recency list, then
 //! other entries only by `try_lock`. No thread blocks on an entry while
@@ -74,8 +72,8 @@ use xvu_propagate::{
     count_optimal_propagations, CacheStats, Engine, Propagation, Session, SharedCacheStats,
 };
 use xvu_tree::{
-    parse_term_with_ids, to_term_with_ids, Alphabet, CorpusBuilder, DocTree, NodeId, NodeIdGen,
-    SnapshotFile, Sym,
+    parse_term_with_ids, to_term_with_ids, Alphabet, CorpusBuilder, DocTree, NodeIdGen,
+    SnapshotFile,
 };
 
 /// Daemon sizing and admission knobs.
@@ -89,9 +87,7 @@ pub struct ServerConfig {
     /// How many documents may hold an open session at once; the least
     /// recently used idle one is parked to make room.
     pub pool_capacity: usize,
-    /// Backoff suggested to pushed-back clients, in milliseconds; also
-    /// how long a request waits for an open session's slot, while every
-    /// open session is busy, before it is pushed back.
+    /// Backoff suggested to pushed-back clients, in milliseconds.
     pub retry_after_ms: u64,
 }
 
@@ -121,7 +117,8 @@ pub struct ServerReport {
 /// entry is the document's only owner.
 struct Entry<'e> {
     family: usize,
-    state: DocState<'e>,
+    /// `None` only inside [`Entry::park`], which moves the session out.
+    state: Option<DocState<'e>>,
     /// The last `propagate` result, awaiting `commit` (boxed: most
     /// entries have none, and a `Propagation` is large).
     pending: Option<Box<Propagation>>,
@@ -143,46 +140,32 @@ impl Entry<'_> {
     /// Parks an open session by move, keeping its identifier floor, and
     /// returns its final cache counters; `None` if already parked.
     fn park(&mut self) -> Option<CacheStats> {
-        if !matches!(self.state, DocState::Open(_)) {
+        let Some(DocState::Open(session)) = self
+            .state
+            .take_if(|state| matches!(state, DocState::Open(_)))
+        else {
             return None;
-        }
-        // a one-node stand-in lets the session move out of `state`; it is
-        // overwritten below, before the entry lock is released
-        let stand_in = DocState::Parked {
-            doc: DocTree::leaf_with_id(NodeId(0), Sym::from_index(0)),
-            gen: None,
-        };
-        let DocState::Open(session) = std::mem::replace(&mut self.state, stand_in) else {
-            unreachable!("checked open above");
         };
         let stats = session.cache_stats();
         let gen = Some(session.id_gen());
-        self.state = DocState::Parked {
+        self.state = Some(DocState::Parked {
             doc: session.into_document(),
             gen,
-        };
+        });
         Some(stats)
     }
 
     fn document(&self) -> &DocTree {
         match &self.state {
-            DocState::Open(session) => session.document(),
-            DocState::Parked { doc, .. } => doc,
+            Some(DocState::Open(session)) => session.document(),
+            Some(DocState::Parked { doc, .. }) => doc,
+            None => unreachable!("only park empties the state, and it refills it"),
         }
     }
 }
 
 /// A store entry, shared between the store map and the recency list.
 type Shared<'e> = Arc<Mutex<Entry<'e>>>;
-
-/// The open entries and the requests waiting for one to close.
-#[derive(Default)]
-struct Recency<'e> {
-    /// Open entries, least recently used first.
-    open: Vec<(u64, Shared<'e>)>,
-    /// Requests blocked in [`Server::make_room`] right now.
-    waiting: usize,
-}
 
 /// One queued write request.
 struct Job {
@@ -205,9 +188,8 @@ pub struct Server<'e> {
     engines: &'e [Engine],
     cfg: ServerConfig,
     store: Mutex<HashMap<u64, Shared<'e>>>,
-    recency: Mutex<Recency<'e>>,
-    /// Notified when a finished request hands its slot to a waiter.
-    released: Condvar,
+    /// The open entries, least recently used first.
+    recency: Mutex<Vec<(u64, Shared<'e>)>>,
     live_cache: Mutex<HashMap<u64, CacheStats>>,
     metrics: Metrics,
     queue: Mutex<WorkQueue>,
@@ -233,8 +215,7 @@ impl<'e> Server<'e> {
                 ..cfg
             },
             store: Mutex::new(HashMap::new()),
-            recency: Mutex::new(Recency::default()),
-            released: Condvar::new(),
+            recency: Mutex::new(Vec::new()),
             live_cache: Mutex::new(HashMap::new()),
             metrics: Metrics::new(),
             queue: Mutex::new(WorkQueue {
@@ -282,7 +263,7 @@ impl<'e> Server<'e> {
                 acc
             },
         );
-        let resident = relock(self.recency.lock()).open.len();
+        let resident = relock(self.recency.lock()).len();
         self.metrics
             .snapshot(live, shared, resident, self.cfg.pool_capacity)
     }
@@ -593,17 +574,25 @@ impl<'e> Server<'e> {
         let Ok(doc_id) = payload.trim().parse::<u64>() else {
             return Frame::err(format!("bad document id {payload:?}"));
         };
-        self.with_session(doc_id, |session, pending, _| {
-            let Some(prop) = pending.take() else {
-                return Frame::err(format!("document {doc_id} has no pending propagation"));
-            };
-            match session.commit(&prop) {
-                Ok(()) => Frame::ok(""),
-                Err(e) => {
-                    // leave the propagation pending so the client may retry
-                    *pending = Some(prop);
-                    Frame::err(e.to_string())
+        let Some(shared) = self.entry(doc_id) else {
+            return Frame::err(format!("unknown document {doc_id}"));
+        };
+        let mut entry = relock(shared.lock());
+        // checked before a parked document is reopened for nothing
+        if entry.pending.is_none() {
+            return Frame::err(format!("document {doc_id} has no pending propagation"));
+        }
+        self.in_session(doc_id, &shared, &mut entry, |session, pending, _| {
+            let prop = pending
+                .as_deref()
+                .expect("checked above, under the same lock");
+            match session.commit(prop) {
+                Ok(()) => {
+                    *pending = None;
+                    Frame::ok("")
                 }
+                // the propagation stays pending so the client may retry
+                Err(e) => Frame::err(e.to_string()),
             }
         })
     }
@@ -687,9 +676,8 @@ impl<'e> Server<'e> {
         relock(self.store.lock()).get(&doc_id).cloned()
     }
 
-    /// Runs `f` on `doc_id`'s session with the entry locked, opening the
-    /// session first if the entry is parked. `f` also gets the entry's
-    /// pending propagation and the family engine.
+    /// Runs `f` on `doc_id`'s session with the entry locked; see
+    /// [`Server::in_session`].
     fn with_session(
         &self,
         doc_id: u64,
@@ -699,44 +687,33 @@ impl<'e> Server<'e> {
             return Frame::err(format!("unknown document {doc_id}"));
         };
         let mut entry = relock(shared.lock());
-        if let Err(resp) = self.open_entry(doc_id, &shared, &mut entry) {
+        self.in_session(doc_id, &shared, &mut entry, f)
+    }
+
+    /// Runs `f` on the locked `entry`'s session, opening the session
+    /// first if the entry is parked. `f` also gets the entry's pending
+    /// propagation and the family engine.
+    fn in_session(
+        &self,
+        doc_id: u64,
+        shared: &Shared<'e>,
+        entry: &mut Entry<'e>,
+        f: impl FnOnce(&mut Session<'e>, &mut Option<Box<Propagation>>, &'e Engine) -> Frame,
+    ) -> Frame {
+        if let Err(resp) = self.open_entry(doc_id, shared, entry) {
             return resp;
         }
         let Entry {
             family,
-            state: DocState::Open(session),
+            state: Some(DocState::Open(session)),
             pending,
-        } = &mut *entry
+        } = entry
         else {
             unreachable!("open_entry leaves the entry open");
         };
         let resp = f(session, pending, &self.engines[*family]);
         relock(self.live_cache.lock()).insert(doc_id, session.cache_stats());
-        self.hand_over(doc_id, &mut entry);
         resp
-    }
-
-    /// Parks the just-used `entry` when a request is waiting for room: it
-    /// is the entry that request would evict the moment it went idle, and
-    /// parking it here means the waiter never races this document's next
-    /// request for it.
-    fn hand_over(&self, doc_id: u64, entry: &mut Entry<'e>) {
-        let mut recency = relock(self.recency.lock());
-        if recency.waiting == 0 || recency.open.len() < self.cfg.pool_capacity {
-            return;
-        }
-        if let Some(stats) = entry.park() {
-            self.count_eviction(doc_id, &stats);
-        }
-        recency.open.retain(|(id, _)| *id != doc_id);
-        drop(recency);
-        self.released.notify_all();
-    }
-
-    fn count_eviction(&self, doc_id: u64, stats: &CacheStats) {
-        self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
-        self.metrics.retire_cache_stats(stats);
-        relock(self.live_cache.lock()).remove(&doc_id);
     }
 
     /// Makes the locked `entry` open and most recently used, reopening a
@@ -747,11 +724,11 @@ impl<'e> Server<'e> {
         shared: &Shared<'e>,
         entry: &mut Entry<'e>,
     ) -> Result<(), Frame> {
-        let DocState::Parked { doc, gen } = &entry.state else {
-            let open = &mut relock(self.recency.lock()).open;
-            if let Some(pos) = open.iter().position(|(id, _)| *id == doc_id) {
-                let touched = open.remove(pos);
-                open.push(touched);
+        let Some(DocState::Parked { doc, gen }) = &entry.state else {
+            let mut recency = relock(self.recency.lock());
+            if let Some(pos) = recency.iter().position(|(id, _)| *id == doc_id) {
+                let touched = recency.remove(pos);
+                recency.push(touched);
             }
             return Ok(());
         };
@@ -761,7 +738,7 @@ impl<'e> Server<'e> {
                 if let Some(gen) = gen {
                     session.merge_id_gen(gen);
                 }
-                entry.state = DocState::Open(Box::new(session));
+                entry.state = Some(DocState::Open(Box::new(session)));
                 Ok(())
             }
             Err(e) => {
@@ -774,50 +751,37 @@ impl<'e> Server<'e> {
     /// Reserves a recency slot for `doc_id`, parking the least recently
     /// used idle entries while the open count is at capacity. Victims are
     /// taken with `try_lock`, so a busy entry is skipped, never blocked
-    /// on. While every open entry is busy, waits up to `retry_after_ms`
-    /// for [`Server::hand_over`] to free a slot (the wait gives up the
-    /// recency lock and holds only the caller's parked entry, which is
-    /// never a victim), then gives up with `retry`.
+    /// on. If every open entry is busy, replies `retry`.
     fn make_room(&self, doc_id: u64, shared: &Shared<'e>) -> Result<(), Frame> {
-        let deadline = Instant::now() + Duration::from_millis(self.cfg.retry_after_ms);
         let mut recency = relock(self.recency.lock());
-        loop {
-            let open = &mut recency.open;
-            let mut i = 0;
-            while open.len() >= self.cfg.pool_capacity && i < open.len() {
-                let parked = match open[i].1.try_lock() {
-                    Ok(mut victim) => victim.park(),
-                    Err(TryLockError::Poisoned(p)) => p.into_inner().park(),
-                    Err(TryLockError::WouldBlock) => {
-                        i += 1;
-                        continue;
-                    }
-                };
-                let (victim_id, _) = open.remove(i);
-                if let Some(stats) = parked {
-                    self.count_eviction(victim_id, &stats);
+        let mut i = 0;
+        while recency.len() >= self.cfg.pool_capacity && i < recency.len() {
+            let parked = match recency[i].1.try_lock() {
+                Ok(mut victim) => victim.park(),
+                Err(TryLockError::Poisoned(p)) => p.into_inner().park(),
+                Err(TryLockError::WouldBlock) => {
+                    i += 1;
+                    continue;
                 }
+            };
+            let (victim_id, _) = recency.remove(i);
+            if let Some(stats) = parked {
+                self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
+                self.metrics.retire_cache_stats(&stats);
+                relock(self.live_cache.lock()).remove(&victim_id);
             }
-            if open.len() < self.cfg.pool_capacity {
-                open.push((doc_id, Arc::clone(shared)));
-                return Ok(());
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                self.metrics.rejected_writes.fetch_add(1, Ordering::Relaxed);
-                return Err(Frame::retry(self.cfg.retry_after_ms));
-            }
-            recency.waiting += 1;
-            recency = relock(self.released.wait_timeout(recency, left)).0;
-            recency.waiting -= 1;
         }
+        if recency.len() >= self.cfg.pool_capacity {
+            self.metrics.rejected_writes.fetch_add(1, Ordering::Relaxed);
+            return Err(Frame::retry(self.cfg.retry_after_ms));
+        }
+        recency.push((doc_id, Arc::clone(shared)));
+        Ok(())
     }
 
     /// Drops `doc_id` from the recency list.
     fn forget(&self, doc_id: u64) {
-        relock(self.recency.lock())
-            .open
-            .retain(|(id, _)| *id != doc_id);
+        relock(self.recency.lock()).retain(|(id, _)| *id != doc_id);
     }
 
     /// Resets a locked entry in place, for `load` (`doc` replaces the
@@ -830,12 +794,11 @@ impl<'e> Server<'e> {
         }
         relock(self.live_cache.lock()).remove(&doc_id);
         entry.pending = None;
-        let DocState::Parked { doc: parked, gen } = &mut entry.state else {
-            unreachable!("parked above");
-        };
-        *gen = None;
-        if let Some(doc) = doc {
-            *parked = doc;
+        if let Some(DocState::Parked { doc: parked, gen }) = &mut entry.state {
+            *gen = None;
+            if let Some(doc) = doc {
+                *parked = doc;
+            }
         }
     }
 
@@ -847,7 +810,7 @@ impl<'e> Server<'e> {
             MapEntry::Vacant(e) => {
                 e.insert(Arc::new(Mutex::new(Entry {
                     family,
-                    state: DocState::Parked { doc, gen: None },
+                    state: Some(DocState::Parked { doc, gen: None }),
                     pending: None,
                 })));
                 return;
@@ -963,6 +926,7 @@ impl std::fmt::Debug for Server<'_> {
 mod tests {
     use super::*;
     use xvu_dtd::parse_dtd;
+    use xvu_tree::NodeId;
     use xvu_view::parse_annotation;
 
     /// DTD `r -> (a.h?)*` with `h` hidden: view of `r(a, h)` is `r(a)`.
@@ -1006,7 +970,6 @@ mod tests {
     /// Documents with an open session, least recently used first.
     fn open_docs(server: &Server<'_>) -> Vec<u64> {
         relock(server.recency.lock())
-            .open
             .iter()
             .map(|(id, _)| *id)
             .collect()
@@ -1017,14 +980,14 @@ mod tests {
         let shared = server.entry(doc_id).unwrap();
         let entry = relock(shared.lock());
         match &entry.state {
-            DocState::Open(session) => Some(session.id_gen().peek()),
-            DocState::Parked { gen, .. } => gen.as_ref().map(NodeIdGen::peek),
+            Some(DocState::Open(session)) => Some(session.id_gen().peek()),
+            Some(DocState::Parked { gen, .. }) => gen.as_ref().map(NodeIdGen::peek),
+            None => unreachable!("only park empties the state"),
         }
     }
 
     /// Holds `doc_id`'s entry on another thread for `hold` while `during`
-    /// runs on this thread, then releases it the way a finished request
-    /// does. 300 ms is far past the 10,000-`yield_now` budget after which
+    /// runs on this thread, then releases it. 300 ms is far past the 10,000-`yield_now` budget after which
     /// an earlier design stopped waiting for a busy session.
     fn while_busy<R>(
         server: &Server<'_>,
@@ -1036,10 +999,9 @@ mod tests {
         let (busy, now_busy) = mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let mut held = relock(shared.lock());
+                let _held = relock(shared.lock());
                 busy.send(()).unwrap();
                 std::thread::sleep(hold);
-                server.hand_over(doc_id, &mut held);
             });
             now_busy.recv().unwrap();
             during()
@@ -1097,7 +1059,7 @@ mod tests {
         open(&server, 3);
         drop(held);
         assert_eq!(open_docs(&server), [1, 3]);
-        assert!(matches!(relock(busy.lock()).state, DocState::Open(_)));
+        assert!(matches!(relock(busy.lock()).state, Some(DocState::Open(_))));
     }
 
     #[test]
@@ -1120,30 +1082,6 @@ mod tests {
         // with the entries idle again the same request succeeds by eviction
         assert_eq!(open(&server, 3), "r#0(a#1)");
         assert_eq!(open_docs(&server), [2, 3]);
-    }
-
-    #[test]
-    fn a_new_document_waits_for_a_busy_entry_to_be_handed_over() {
-        let engines = engines();
-        let server = Server::new(
-            &engines,
-            ServerConfig {
-                pool_capacity: 1,
-                retry_after_ms: 10_000,
-                ..ServerConfig::default()
-            },
-        );
-        load(&server, 1, "r#0(a#1, h#2)");
-        load(&server, 2, "r#0(a#1)");
-        open(&server, 1);
-        // a request on doc 1 is in flight; when it ends it hands its slot
-        // to the open of doc 2 waiting for room
-        let reply = while_busy(&server, 1, Duration::from_millis(50), || {
-            server.handle_write(Verb::Open, "2")
-        });
-        assert_eq!(reply.verb, Verb::Ok, "{reply:?}");
-        assert_eq!(open_docs(&server), [2]);
-        assert_eq!(server.stats_snapshot().rejected_writes, 0);
     }
 
     #[test]
@@ -1243,6 +1181,10 @@ mod tests {
         assert!(
             reply.payload.contains("no pending propagation"),
             "{reply:?}"
+        );
+        assert!(
+            open_docs(&server).is_empty(),
+            "nothing to commit, nothing reopened"
         );
         assert_eq!(open(&server, 1), "r#0(a#1)");
     }

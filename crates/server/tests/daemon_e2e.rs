@@ -2,6 +2,7 @@
 //! error replies that keep the connection alive, and drain-on-shutdown.
 
 use std::net::TcpListener;
+use std::panic::AssertUnwindSafe;
 use xvu_dtd::parse_dtd;
 use xvu_propagate::Engine;
 use xvu_server::{Client, ClientError, Server, ServerConfig};
@@ -206,7 +207,10 @@ fn concurrent_eviction_write_back_never_resurrects_stale_state() {
     // and reopen race the other client's requests on nearly every
     // request. A stale reopen shows up as `In(S) differs from the view`
     // on the very next propagate, or as a lost committed insert in the
-    // final view. Both clients start together, so their requests overlap.
+    // final view. Both clients start every round together, so their
+    // requests overlap and every round switches the pool at least once:
+    // a client pushed back with `retry` gets in by the time the other
+    // waits for the next round.
     let engines = [engine()];
     let server = Server::new(
         &engines,
@@ -220,7 +224,7 @@ fn concurrent_eviction_write_back_never_resurrects_stale_state() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     const ROUNDS: usize = 12;
-    let start = std::sync::Barrier::new(2);
+    let round_start = std::sync::Barrier::new(2);
     std::thread::scope(|scope| {
         let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
         {
@@ -230,29 +234,40 @@ fn concurrent_eviction_write_back_never_resurrects_stale_state() {
         }
         let worker = |doc: u64| {
             let addr = addr.clone();
-            let start = &start;
+            let round_start = &round_start;
             move || {
                 let mut c = Client::connect(&addr).unwrap();
-                start.wait();
+                let mut failed = None;
                 for round in 0..ROUNDS {
-                    // read the live view and grow it by one fresh `a`
-                    let view = c.open(doc).unwrap();
-                    let children = view
-                        .strip_prefix("r#0(")
-                        .and_then(|v| v.strip_suffix(')'))
-                        .unwrap_or_else(|| panic!("doc {doc} view {view}"));
-                    let mut update = String::from("nop:r#0(");
-                    for child in children.split(", ") {
-                        update.push_str("nop:");
-                        update.push_str(child);
-                        update.push_str(", ");
+                    round_start.wait();
+                    if failed.is_some() {
+                        // keep meeting the other client, or it waits forever
+                        continue;
                     }
-                    update.push_str(&format!("ins:a#{})", 1000 + doc * 500 + round as u64));
-                    let reply = c.propagate(doc, &update).unwrap_or_else(|e| {
-                        panic!("doc {doc} round {round}: stale session state: {e}")
+                    let one_round = AssertUnwindSafe(|| {
+                        // read the live view and grow it by one fresh `a`
+                        let view = c.open(doc).unwrap();
+                        let children = view
+                            .strip_prefix("r#0(")
+                            .and_then(|v| v.strip_suffix(')'))
+                            .unwrap_or_else(|| panic!("doc {doc} view {view}"));
+                        let mut update = String::from("nop:r#0(");
+                        for child in children.split(", ") {
+                            update.push_str("nop:");
+                            update.push_str(child);
+                            update.push_str(", ");
+                        }
+                        update.push_str(&format!("ins:a#{})", 1000 + doc * 500 + round as u64));
+                        let reply = c.propagate(doc, &update).unwrap_or_else(|e| {
+                            panic!("doc {doc} round {round}: stale session state: {e}")
+                        });
+                        assert!(reply.cost > 0, "doc {doc} round {round}");
+                        c.commit(doc).unwrap();
                     });
-                    assert!(reply.cost > 0, "doc {doc} round {round}");
-                    c.commit(doc).unwrap();
+                    failed = std::panic::catch_unwind(one_round).err();
+                }
+                if let Some(panic) = failed {
+                    std::panic::resume_unwind(panic);
                 }
             }
         };
